@@ -1,9 +1,11 @@
 //! Oblivious-transfer benchmarks: the cryptographic Naor–Pinkas engine
 //! (768-bit group for timing; the 2048-bit figures scale by the modexp
 //! ratio) against the ideal-functionality simulator — the crossover that
-//! motivates functional-mode sweeps.
+//! motivates functional-mode sweeps — and the `DhGroup` exponentiations
+//! under every transfer, on both groups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ppcs_crypto::DhGroup;
 use ppcs_ot::{NaorPinkasOt, ObliviousTransfer, TrustedSimOt};
 use ppcs_transport::run_pair;
 use rand::rngs::StdRng;
@@ -50,5 +52,27 @@ fn bench_ot_real(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ot_real);
+/// One `power_g` (fixed-base comb) and one variable-base `exp` with a
+/// full-width exponent, per group.
+fn bench_group_ops(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dh_group");
+    group.sample_size(10);
+    for (name, g) in [
+        ("modp768", DhGroup::modp_768()),
+        ("modp2048", DhGroup::modp_2048()),
+    ] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let e = g.random_exponent(&mut rng);
+        let base = g.power_g(&g.random_exponent(&mut rng));
+        group.bench_function(BenchmarkId::new("power_g", name), |b| {
+            b.iter(|| black_box(g.power_g(black_box(&e))))
+        });
+        group.bench_function(BenchmarkId::new("exp", name), |b| {
+            b.iter(|| black_box(g.exp(black_box(&base), black_box(&e))))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_ot_real, bench_group_ops);
 criterion_main!(benches);

@@ -712,38 +712,35 @@ where
         let mut next_lane_idx = meta.len() as u64;
         let mut drain_started: Option<Instant> = None;
         loop {
-            let idle_now = driver.conns() == 0;
-            if idle_now && (!accepting || sup.draining()) {
+            // The drain transition is handled before the exit check, so a
+            // drain that lands after every connection has closed is
+            // recorded too.
+            if sup.draining() && drain_started.is_none() {
+                drain_started = Some(Instant::now());
+                self.record_run_transition(DETAIL_DRAIN_BEGAN);
+                // No precomputed material outlives the run that drew it.
+                if let Some(p) = pool {
+                    p.clear();
+                }
+                // Admission is over. Pending (sessionless) connections get
+                // one short slice so a HELLO already in flight is still
+                // answered with `KIND_BUSY` — exactly the window a
+                // blocking lane has before its recv slice times out — then
+                // close; in-flight sessions get the grace period.
+                for id in driver.conn_ids() {
+                    if driver.is_pending(id) {
+                        driver.set_idle_deadline(id, Some(POLL_SLICE));
+                    }
+                }
+            }
+            if driver.conns() == 0 && (!accepting || sup.draining()) {
                 break;
             }
-            if sup.draining() {
-                if drain_started.is_none() {
-                    drain_started = Some(Instant::now());
-                    self.record_run_transition(DETAIL_DRAIN_BEGAN);
-                    // No precomputed material outlives the run that
-                    // drew it.
-                    if let Some(p) = pool {
-                        p.clear();
-                    }
-                    // Admission is over. Pending (sessionless) connections
-                    // get one short slice so a HELLO already in flight is
-                    // still answered with `KIND_BUSY` — exactly the window
-                    // a blocking lane has before its recv slice times out
-                    // — then close; in-flight sessions get the grace
-                    // period.
-                    for id in driver.conn_ids() {
-                        if driver.is_pending(id) {
-                            driver.set_idle_deadline(id, Some(POLL_SLICE));
-                        }
-                    }
-                    continue;
-                }
-                if !sup.cut()
-                    && drain_started.is_some_and(|t0| t0.elapsed() >= self.config.drain_deadline)
-                {
-                    sup.force_cut();
-                    self.record_run_transition(DETAIL_DRAIN_CUT);
-                }
+            if !sup.cut()
+                && drain_started.is_some_and(|t0| t0.elapsed() >= self.config.drain_deadline)
+            {
+                sup.force_cut();
+                self.record_run_transition(DETAIL_DRAIN_CUT);
             }
             // While a drain grace period runs, wake at its deadline (or
             // sooner); otherwise a coarse slice — every actual event
@@ -908,6 +905,10 @@ where
                     }
                 }
             }
+        }
+        // Every exit path leaves the pool empty, drained or not.
+        if let Some(p) = pool {
+            p.clear();
         }
         // Post-mortem artifacts: dump the flight ring to
         // `PPCS_FLIGHT_OUT` (when set) and flush any Chrome trace-out

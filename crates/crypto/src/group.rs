@@ -8,9 +8,11 @@
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::One;
 use rand::Rng;
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::hmac::hkdf;
+use crate::mont::{from_limbs, to_limbs, Comb, Mont};
 
 /// RFC 3526 group 14 (2048-bit MODP), generator 2.
 const MODP_2048_HEX: &str = concat!(
@@ -35,8 +37,15 @@ const MODP_768_HEX: &str = concat!(
     "E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF"
 );
 
+/// Shape (teeth, rows) of the generator's comb: 4 rows of 2⁶ entries,
+/// 24 KiB for MODP-768 and 64 KiB for MODP-2048.
+const COMB_SHAPE: (usize, usize) = (6, 4);
+
 /// A multiplicative group modulo a safe prime `p = 2q + 1` with a fixed
 /// generator, plus key-derivation from group elements.
+///
+/// Every operation runs on a fixed-width Montgomery engine; `BigUint`
+/// appears only at this API boundary.
 ///
 /// # Examples
 ///
@@ -53,24 +62,99 @@ const MODP_768_HEX: &str = concat!(
 /// let right = group.exp(&group.power_g(&b), &a);
 /// assert_eq!(left, right);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct DhGroup {
     p: BigUint,
     q: BigUint,
     g: BigUint,
     element_len: usize,
+    engine: Engine,
+}
+
+/// The engine of each supported modulus width.
+#[derive(Clone)]
+enum Engine {
+    Modp768(Box<Modp<12>>),
+    Modp2048(Box<Modp<32>>),
+}
+
+/// Runs `$body` with `$m` bound to the group's engine, whatever its width.
+macro_rules! on_engine {
+    ($group:expr, $m:ident => $body:expr) => {
+        match &$group.engine {
+            Engine::Modp768($m) => $body,
+            Engine::Modp2048($m) => $body,
+        }
+    };
+}
+
+/// A group engine over `N` limbs. Every method takes and returns values
+/// below `2^(64·N)`; [`DhGroup`] reduces wider inputs first.
+#[derive(Clone)]
+struct Modp<const N: usize> {
+    mont: Mont<N>,
+    /// The generator, in Montgomery form.
+    g: [u64; N],
+    /// The generator's comb, built on the first [`DhGroup::power_g`].
+    comb: OnceLock<Comb<N>>,
+}
+
+impl<const N: usize> Modp<N> {
+    fn new(p: &BigUint, g: &BigUint) -> Self {
+        let mont = Mont::new(p);
+        let g = mont.to_mont(&to_limbs(g));
+        Self {
+            mont,
+            g,
+            comb: OnceLock::new(),
+        }
+    }
+
+    fn comb(&self) -> &Comb<N> {
+        self.comb.get_or_init(|| {
+            let (teeth, rows) = COMB_SHAPE;
+            Comb::new(&self.mont, &self.g, teeth, rows)
+        })
+    }
+
+    fn exp(&self, base: &BigUint, e: &BigUint) -> BigUint {
+        let m = &self.mont;
+        let base = m.to_mont(&to_limbs(base));
+        from_limbs(&m.to_plain(&m.pow(&base, &to_limbs(e))))
+    }
+
+    fn power_g(&self, e: &BigUint) -> BigUint {
+        let m = &self.mont;
+        from_limbs(&m.to_plain(&self.comb().pow(m, &to_limbs(e))))
+    }
+
+    fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let m = &self.mont;
+        from_limbs(&m.mul(&m.to_mont(&to_limbs(a)), &to_limbs(b)))
+    }
+
+    fn inv_public(&self, a: &BigUint) -> BigUint {
+        from_limbs(&self.mont.inv_public(&to_limbs(a)))
+    }
 }
 
 impl DhGroup {
     fn from_hex(hex: &str) -> Self {
         let p = BigUint::parse_bytes(hex.as_bytes(), 16).expect("valid hex constant");
         let q = (&p - BigUint::one()) >> 1;
+        let g = BigUint::from(2u32);
         let element_len = (p.bits() as usize).div_ceil(8);
+        let engine = match p.bits() {
+            768 => Engine::Modp768(Box::new(Modp::new(&p, &g))),
+            2048 => Engine::Modp2048(Box::new(Modp::new(&p, &g))),
+            bits => unreachable!("no engine for a {bits}-bit modulus"),
+        };
         Self {
             p,
             q,
-            g: BigUint::from(2u32),
+            g,
             element_len,
+            engine,
         }
     }
 
@@ -107,41 +191,77 @@ impl DhGroup {
         self.element_len
     }
 
-    /// Draws a uniform exponent in `[1, q)`.
+    /// Draws a uniform exponent in `[2, q)`.
     pub fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         loop {
             let e = rng.gen_biguint_below(&self.q);
-            if !e.bits() == 0 || e > BigUint::one() {
-                return e.max(BigUint::one());
+            if e > BigUint::one() {
+                return e;
             }
         }
     }
 
-    /// `base^e mod p`.
+    /// Whether `x` fits the engine's fixed width (a public property: the
+    /// `BigUint` holding `x` already reveals its length).
+    fn fits(&self, x: &BigUint) -> bool {
+        x.bits() <= 8 * self.element_len as u64
+    }
+
+    /// `x`, reduced mod `p` only if it is wider than the engine.
+    fn fit(&self, x: &BigUint) -> BigUint {
+        if self.fits(x) {
+            x.clone()
+        } else {
+            x % &self.p
+        }
+    }
+
+    /// `base^e mod p`, in constant time for every `base` and `e` that fit
+    /// in the modulus width.
     pub fn exp(&self, base: &BigUint, e: &BigUint) -> BigUint {
-        base.modpow(e, &self.p)
+        let base = self.fit(base);
+        if self.fits(e) {
+            return on_engine!(self, m => m.exp(&base, e));
+        }
+        // Every nonzero base has order dividing p − 1; p − 1 stands in
+        // for a zero residue so that 0^e stays 0.
+        let p_1 = &self.p - BigUint::one();
+        let mut e = e % &p_1;
+        if e.bits() == 0 {
+            e = p_1;
+        }
+        on_engine!(self, m => m.exp(&base, &e))
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p` through the generator's fixed-base comb, in constant
+    /// time for every `e` that fits in the modulus width.
     pub fn power_g(&self, e: &BigUint) -> BigUint {
-        self.g.modpow(e, &self.p)
+        if self.fits(e) {
+            on_engine!(self, m => m.power_g(e))
+        } else {
+            // g generates the order-q subgroup.
+            on_engine!(self, m => m.power_g(&(e % &self.q)))
+        }
     }
 
-    /// Group multiplication `a · b mod p`.
+    /// Group multiplication `a · b mod p`, in constant time.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        (a * b) % &self.p
+        on_engine!(self, m => m.mul(&self.fit(a), &self.fit(b)))
     }
 
-    /// Multiplicative inverse mod `p`.
+    /// Multiplicative inverse mod `p` of a **public** element.
+    ///
+    /// A binary extended GCD: much faster than a Fermat exponentiation,
+    /// but its running time depends on `a`. Use it only for values the
+    /// peer already knows, such as an element received off the wire.
     ///
     /// # Panics
     ///
-    /// Panics if `a` is zero (not a group element).
-    pub fn inv(&self, a: &BigUint) -> BigUint {
-        // p is prime, so a^{p-2} is the inverse.
-        let exp = &self.p - BigUint::from(2u32);
+    /// Panics if `a` is zero mod `p` (not a group element).
+    pub fn inv_public(&self, a: &BigUint) -> BigUint {
+        let a = a % &self.p;
         assert!(!a.is_zero_ext(), "zero has no inverse in the group");
-        a.modpow(&exp, &self.p)
+        on_engine!(self, m => m.inv_public(&a))
     }
 
     /// Serializes a group element to fixed-length big-endian bytes.
@@ -177,6 +297,27 @@ impl DhGroup {
     }
 }
 
+// The engine is a function of `p` and `g`, so equality and the debug view
+// cover the group's parameters only.
+impl PartialEq for DhGroup {
+    fn eq(&self, other: &Self) -> bool {
+        self.p == other.p && self.g == other.g
+    }
+}
+
+impl Eq for DhGroup {}
+
+impl fmt::Debug for DhGroup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DhGroup")
+            .field("p", &self.p)
+            .field("q", &self.q)
+            .field("g", &self.g)
+            .field("element_len", &self.element_len)
+            .finish()
+    }
+}
+
 /// Tiny extension so `is_zero` does not collide with num-traits import
 /// ambiguity at call sites.
 trait IsZeroExt {
@@ -201,11 +342,12 @@ mod tests {
         for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
             // p = 2q + 1
             assert_eq!(group.modulus(), &((group.order() << 1) + BigUint::one()));
-            // g^q == 1 (generator of the order-q subgroup... g=2 generates
-            // a subgroup whose order divides 2q; for these safe primes
-            // 2^q = ±1).
-            let gq = group.exp(group.generator(), group.order());
-            assert!(gq == BigUint::one() || gq == group.modulus() - BigUint::one());
+            // p ≡ 7 (mod 8) makes g = 2 a quadratic residue: it generates
+            // the order-q subgroup, so g^(q−x) inverts g^x.
+            assert_eq!(
+                group.generator().modpow(group.order(), group.modulus()),
+                BigUint::one()
+            );
         }
     }
 
@@ -236,8 +378,15 @@ mod tests {
         let group = DhGroup::modp_768();
         let mut rng = StdRng::seed_from_u64(3);
         let e = group.power_g(&group.random_exponent(&mut rng));
-        let inv = group.inv(&e);
+        let inv = group.inv_public(&e);
         assert_eq!(group.mul(&e, &inv), BigUint::one());
+    }
+
+    #[test]
+    fn comb_tables_fit_in_64_kib() {
+        for group in [DhGroup::modp_768(), DhGroup::modp_2048()] {
+            on_engine!(group, m => assert!(m.comb().table_bytes() <= 64 << 10));
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * [`hmac_sha256`] / [`hkdf`] — RFC 2104 / RFC 5869 key derivation;
 //! * [`ChaCha20`] — RFC 8439 stream cipher for OT payload encryption;
 //! * [`DhGroup`] — RFC 3526 MODP-2048 (and a fast 768-bit test group)
-//!   with modular exponentiation via `num-bigint`.
+//!   on a fixed-width Montgomery engine: constant-time fixed-window
+//!   exponentiation, a fixed-base comb for the generator, and a
+//!   variable-time inverse reserved for public elements. `num-bigint`
+//!   only parses and serialises values at the API boundary, and serves
+//!   as the test oracle.
 //!
 //! ## Example: derive a pad from a DH shared secret
 //!
@@ -34,6 +38,7 @@
 mod chacha20;
 mod group;
 mod hmac;
+mod mont;
 mod sha256;
 
 pub use chacha20::ChaCha20;

@@ -183,7 +183,8 @@ pub async fn ot12_send_precommitted_io(
     let pk0 = group
         .element_from_bytes(&pk0_bytes)
         .ok_or_else(|| OtError::Protocol("receiver sent invalid PK_0".into()))?;
-    let pk1 = group.mul(&big_c, &group.inv(&pk0));
+    // PK_0 came off the wire, so the variable-time inverse is safe here.
+    let pk1 = group.mul(&big_c, &group.inv_public(&pk0));
 
     // Step 3: encrypt both messages under ephemeral DH pads.
     let r = group.random_exponent(rng);
@@ -269,17 +270,17 @@ pub async fn ot12_receive_precommitted_io(
     tag: u64,
     big_c: &BigUint,
 ) -> Result<Vec<u8>, OtError> {
-    let big_c = big_c.clone();
     // Step 2: build the key pair so we know the discrete log of PK_choice
-    // only.
+    // only. Both candidates for PK_0 are computed whatever the choice,
+    // and every choice-dependent pick below is a masked select, so the
+    // receiver's work does not depend on its secret bit. g^(q−x) is
+    // (g^x)⁻¹ because g has order q.
     let x = group.random_exponent(rng);
-    let pk_choice = group.power_g(&x);
-    let pk0 = if choice {
-        group.mul(&big_c, &group.inv(&pk_choice))
-    } else {
-        pk_choice.clone()
-    };
-    io.send_msg(KIND_OT12_PK0, &group.element_bytes(&pk0))?;
+    let pk_choice = group.element_bytes(&group.power_g(&x));
+    let pk_other = group.element_bytes(&group.mul(big_c, &group.power_g(&(group.order() - &x))));
+    let mask = 0u8.wrapping_sub(u8::from(choice));
+    let pk0 = masked_select(mask, &pk_other, &pk_choice);
+    io.send_msg(KIND_OT12_PK0, &pk0)?;
 
     // Step 3/4: decrypt our branch.
     let (g_r_bytes, (e0, e1)): (Vec<u8>, (Vec<u8>, Vec<u8>)) =
@@ -287,11 +288,23 @@ pub async fn ot12_receive_precommitted_io(
     let g_r: BigUint = group
         .element_from_bytes(&g_r_bytes)
         .ok_or_else(|| OtError::Protocol("sender sent invalid g^r".into()))?;
+    if e0.len() != e1.len() {
+        return Err(OtError::Protocol("sender sent unequal ciphertexts".into()));
+    }
     let shared = group.exp(&g_r, &x);
-    let key = group.derive_key(&shared, &tag_context(tag, u8::from(choice)));
-    let mut m = if choice { e1 } else { e0 };
+    let key = group.derive_key(&shared, &tag_context(tag, mask & 1));
+    let mut m = masked_select(mask, &e1, &e0);
     pad_apply(&key, tag, &mut m);
     Ok(m)
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero, byte by byte and
+/// without a branch. The slices must have equal lengths.
+fn masked_select(mask: u8, a: &[u8], b: &[u8]) -> Vec<u8> {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| (x & mask) | (y & !mask))
+        .collect()
 }
 
 fn tag_context(tag: u64, branch: u8) -> Vec<u8> {
@@ -350,6 +363,28 @@ mod tests {
         let m0 = b"secret-zero".to_vec();
         let got = run_ot12(&m0, b"secret-one!", true);
         assert_ne!(got, b"secret-zero");
+    }
+
+    #[test]
+    fn unequal_ciphertexts_are_rejected() {
+        // The receiver picks its ciphertext by mask, which needs both to
+        // have one length; a sender that breaks this is refused.
+        let group = DhGroup::modp_768();
+        let mut rng_s = StdRng::seed_from_u64(1);
+        let mut rng_r = StdRng::seed_from_u64(2);
+        let mut sender = ProtocolEngine::new(|io| async move {
+            commit_c_io(group, &io, &mut rng_s)?;
+            let _pk0: Vec<u8> = io.recv_msg(KIND_OT12_PK0).await?;
+            let g_r = group.element_bytes(group.generator());
+            io.send_msg(KIND_OT12_PAYLOAD, &(g_r, (vec![0u8; 4], vec![0u8; 5])))?;
+            Ok::<(), OtError>(())
+        });
+        let mut receiver = ProtocolEngine::new(|io| async move {
+            ot12_receive_io(group, &io, &mut rng_r, true, 7).await
+        });
+        let (_, got) =
+            ppcs_transport::run_engine_pair(&mut sender, &mut receiver).expect("no deadlock");
+        assert!(matches!(got, Err(OtError::Protocol(_))), "{got:?}");
     }
 
     #[test]

@@ -21,8 +21,8 @@ use ppcs_telemetry::{
 };
 use ppcs_tests::{blob_dataset, http_body, http_get, random_samples};
 use ppcs_transport::{
-    duplex_pool, faulty_pair, tcp_connect, AsyncDriver, DriveOptions, Driver, FaultSchedule, Frame,
-    Lane, SessionLimits,
+    duplex_pool, faulty_pair, probe_health, tcp_connect, AsyncDriver, DriveOptions, Driver,
+    FaultSchedule, Frame, Lane, SessionLimits,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -442,6 +442,59 @@ fn metrics_endpoint_serves_prometheus_and_flight_dump_live() {
         "drain transition missing from {:?}",
         recorder.snapshot()
     );
+}
+
+/// A drain that lands after every connection has closed must leave the
+/// same state as a drain mid-session: the run-level transition recorded
+/// and the precompute pool emptied. The one connection here is a health
+/// probe, closed well before the drain, so the reactor is idle when the
+/// drain arrives.
+#[test]
+fn drain_after_all_conns_closed_is_recorded_and_clears_the_pool() {
+    let ds = blob_dataset(3, 40, 19);
+    let model = SvmModel::train(&ds, Kernel::Linear, &Default::default());
+    let trainer =
+        Trainer::new(F64Algebra::new(), &model, ProtocolConfig::functional()).expect("trainer");
+    let reg = MetricsRegistry::new(8, "trainer-server");
+    let recorder = FlightRecorder::new(64);
+    let server = TrainerServer::new(&trainer, ServerConfig::default())
+        .with_metrics(reg.clone())
+        .with_flight_recorder(recorder.clone());
+    let supervisor = server.supervisor();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind serve");
+    let addr = listener.local_addr().expect("serve addr");
+
+    let (pool_depth_before, summary) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| {
+            server
+                .serve_async_tcp(listener, &SIM, 4343)
+                .expect("reactor")
+        });
+        let lane = tcp_connect(addr).expect("connect");
+        let status = probe_health(&lane, Duration::from_secs(10)).expect("health probe");
+        drop(lane);
+        // Let the reactor see the close before the drain arrives.
+        std::thread::sleep(Duration::from_millis(200));
+        supervisor.drain();
+        let summary = server_thread.join().expect("server thread");
+        (status.pool_depth, summary)
+    });
+
+    assert!(
+        pool_depth_before > 0,
+        "the pool holds material before the drain"
+    );
+    assert_eq!(summary.sessions_admitted, 0);
+    assert!(
+        recorder.snapshot().iter().any(|e| {
+            e.kind == FlightEventKind::StateTransition
+                && e.conn_slot == u32::MAX
+                && e.detail == DETAIL_DRAIN_BEGAN
+        }),
+        "drain transition missing from {:?}",
+        recorder.snapshot()
+    );
+    assert_eq!(reg.report().pool_depth, 0, "the drain empties the pool");
 }
 
 /// Every observability surface — the live `/metrics` page, the live
